@@ -1,19 +1,50 @@
 #include "common/sim.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/trace.h"
+
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#define DLX_TSAN_FIBERS 1
+#endif
 
 namespace datalinks::sim {
 
 namespace {
-// The simulation discovery hook: set for the duration of a sim task's
-// body, null on every real thread.  g_task is the SimExecutor::Task* of
-// the current task (opaque here; cast inside member functions).
+// The simulation discovery hook: set while a sim task's fiber runs, null
+// on every real thread (and on the Run() thread between switches).
+// g_task is the SimExecutor::Task* of the current task (opaque here; cast
+// inside member functions).
 thread_local SimExecutor* g_exec = nullptr;
 thread_local void* g_task = nullptr;
+
+// Usable stack per task fiber, plus one PROT_NONE guard page below it so
+// an overflow faults instead of scribbling over a neighbour.  Only touched
+// pages are ever backed.
+constexpr size_t kFiberStackBytes = 512 * 1024;
 }  // namespace
 
 SimExecutor* CurrentSimExecutor() noexcept { return g_exec; }
+
+struct SimExecutor::Fiber {
+  ucontext_t ctx{};
+  char* map = nullptr;  // guard page + stack; null for the Run() thread
+  size_t map_bytes = 0;
+  void* tsan = nullptr;  // TSan's fiber handle (TSan builds only)
+
+  ~Fiber() {
+#ifdef DLX_TSAN_FIBERS
+    if (map != nullptr) __tsan_destroy_fiber(tsan);
+#endif
+    if (map != nullptr) munmap(map, map_bytes);
+  }
+};
 
 // ---------------------------------------------------------------------------
 // TaskHandle
@@ -72,11 +103,7 @@ void VirtualClock::SleepForMicros(int64_t micros) {
 SimExecutor::SimExecutor(uint64_t seed)
     : rng_(seed * 0x9e3779b97f4a7c15ULL + 0x5eedULL), vclock_(this) {}
 
-SimExecutor::~SimExecutor() {
-  for (auto& t : tasks_) {
-    if (t->thread.joinable()) t->thread.join();
-  }
-}
+SimExecutor::~SimExecutor() = default;
 
 uint64_t SimExecutor::SpawnLocked(std::string name, std::function<void()> fn,
                                   std::unique_lock<std::mutex>& lk) {
@@ -89,9 +116,8 @@ uint64_t SimExecutor::SpawnLocked(std::string name, std::function<void()> fn,
   t->fn = std::move(fn);
   t->state = State::kRunnable;
   tasks_.push_back(std::move(task));
-  // The thread parks immediately in TaskMain until the scheduler grants
-  // it the run permit; creating it is not a scheduling point.
-  t->thread = std::thread([this, t] { TaskMain(t); });
+  // The fiber is created when the scheduler first picks the task;
+  // spawning is not a scheduling point.
   return t->id;
 }
 
@@ -101,32 +127,29 @@ TaskHandle SimExecutor::Spawn(std::string name, std::function<void()> fn) {
   return TaskHandle(this, id);
 }
 
-void SimExecutor::TaskMain(Task* t) {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    t->wake.wait(lk, [&] { return t->run_granted; });
-    t->run_granted = false;
-  }
-  g_exec = this;
-  g_task = t;
+void SimExecutor::FiberEntry(unsigned lo, unsigned hi) noexcept {
+  Task* t = reinterpret_cast<Task*>((static_cast<uintptr_t>(hi) << 32) | lo);
+  SimExecutor* self = t->owner;
   t->fn();
   t->fn = nullptr;
-  g_exec = nullptr;
-  g_task = nullptr;
-  std::unique_lock<std::mutex> lk(mu_);
-  t->state = State::kDone;
-  for (auto& o : tasks_) {
-    if (o->state == State::kBlocked && o->kind == BlockKind::kJoin &&
-        o->join_target == t->id) {
-      o->state = State::kRunnable;
-      o->kind = BlockKind::kNone;
+  {
+    std::unique_lock<std::mutex> lk(self->mu_);
+    t->state = State::kDone;
+    for (auto& o : self->tasks_) {
+      if (o->state == State::kBlocked && o->kind == BlockKind::kJoin &&
+          o->join_target == t->id) {
+        o->state = State::kRunnable;
+        o->kind = BlockKind::kNone;
+      }
     }
+    self->done_cv_.notify_all();  // non-sim joiners poll per-task completion
   }
-  done_cv_.notify_all();  // non-sim joiners poll per-task completion
-  ScheduleNextLocked(lk);
+  // The scheduler frees this fiber (and its stack) once we are off it.
+  self->SwitchOut(t);
+  std::abort();  // a finished task is never picked again
 }
 
-void SimExecutor::ScheduleNextLocked(std::unique_lock<std::mutex>& lk) {
+SimExecutor::Task* SimExecutor::PickNextLocked(std::unique_lock<std::mutex>& lk) {
   (void)lk;
   for (;;) {
     std::vector<Task*> runnable;
@@ -158,17 +181,13 @@ void SimExecutor::ScheduleNextLocked(std::unique_lock<std::mutex>& lk) {
       decisions_.push_back(static_cast<uint32_t>(idx));
       Task* next = runnable[idx];
       next->state = State::kRunning;
-      next->run_granted = true;
-      next->wake.notify_one();
-      return;
+      return next;
     }
     if (done == tasks_.size()) {
       if (replay_active_ && replay_pos_ < replay_.size()) {
         diverged_.store(true, std::memory_order_release);  // leftover decisions
       }
-      all_done_ = true;
-      done_cv_.notify_all();
-      return;
+      return nullptr;
     }
     // Nobody is runnable: time advances when idle.  Jump the virtual
     // clock to the nearest deadline and wake everything due.
@@ -217,19 +236,71 @@ void SimExecutor::DeadlockAbortLocked() {
   std::abort();
 }
 
+void SimExecutor::SwitchInto(Task* t) {
+  if (!t->fiber) {
+    auto f = std::make_unique<Fiber>();
+    const size_t guard = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    f->map_bytes = guard + kFiberStackBytes;
+    void* map = mmap(nullptr, f->map_bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    if (map == MAP_FAILED || mprotect(map, guard, PROT_NONE) != 0) {
+      std::perror("SimExecutor: fiber stack");
+      std::abort();
+    }
+    f->map = static_cast<char*>(map);
+    getcontext(&f->ctx);
+    f->ctx.uc_stack.ss_sp = f->map + guard;
+    f->ctx.uc_stack.ss_size = kFiberStackBytes;
+    f->ctx.uc_link = nullptr;  // FiberEntry never returns
+    const auto bits = reinterpret_cast<uintptr_t>(t);
+    makecontext(&f->ctx, reinterpret_cast<void (*)()>(&SimExecutor::FiberEntry),
+                2, static_cast<unsigned>(bits & 0xffffffffu),
+                static_cast<unsigned>(bits >> 32));
+#ifdef DLX_TSAN_FIBERS
+    f->tsan = __tsan_create_fiber(0);
+    __tsan_set_fiber_name(f->tsan, t->name.c_str());
+#endif
+    t->fiber = std::move(f);
+  }
+  // Swap the ambient thread-locals to the task's for the duration of the
+  // switch; whatever the Run() thread had comes back afterwards.
+  SimExecutor* const outer_exec = g_exec;
+  void* const outer_task = g_task;
+  trace::TraceContext* const outer_trace =
+      trace::ExchangeCurrentTraceContext(t->trace_ctx);
+  g_exec = this;
+  g_task = t;
+#ifdef DLX_TSAN_FIBERS
+  __tsan_switch_to_fiber(t->fiber->tsan, 0);
+#endif
+  swapcontext(&sched_->ctx, &t->fiber->ctx);
+  t->trace_ctx = trace::ExchangeCurrentTraceContext(outer_trace);
+  g_exec = outer_exec;
+  g_task = outer_task;
+}
+
+void SimExecutor::SwitchOut(Task* t) {
+#ifdef DLX_TSAN_FIBERS
+  __tsan_switch_to_fiber(sched_->tsan, 0);
+#endif
+  swapcontext(&t->fiber->ctx, &sched_->ctx);
+}
+
 void SimExecutor::BlockCurrent(BlockKind kind, int64_t deadline,
                                const void* key, uint64_t join_target) {
   Task* t = static_cast<Task*>(g_task);
-  std::unique_lock<std::mutex> lk(mu_);
-  t->state = State::kBlocked;
-  t->kind = kind;
-  t->deadline = deadline;
-  t->key = key;
-  t->join_target = join_target;
-  t->notified = false;
-  ScheduleNextLocked(lk);
-  t->wake.wait(lk, [&] { return t->run_granted; });
-  t->run_granted = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    t->state = State::kBlocked;
+    t->kind = kind;
+    t->deadline = deadline;
+    t->key = key;
+    t->join_target = join_target;
+    t->notified = false;
+  }
+  SwitchOut(t);
+  std::lock_guard<std::mutex> lk(mu_);
   t->kind = BlockKind::kNone;
   t->deadline = -1;
   t->key = nullptr;
@@ -237,11 +308,11 @@ void SimExecutor::BlockCurrent(BlockKind kind, int64_t deadline,
 
 void SimExecutor::Yield() {
   Task* t = static_cast<Task*>(g_task);
-  std::unique_lock<std::mutex> lk(mu_);
-  t->state = State::kRunnable;
-  ScheduleNextLocked(lk);
-  t->wake.wait(lk, [&] { return t->run_granted; });
-  t->run_granted = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    t->state = State::kRunnable;
+  }
+  SwitchOut(t);
 }
 
 void SimExecutor::SleepCurrent(int64_t micros) {
@@ -279,8 +350,8 @@ void SimExecutor::JoinTask(uint64_t id) {
       std::unique_lock<std::mutex> lk(mu_);
       if (tasks_[id]->state == State::kDone) return;
     }
-    // No race: we hold the run permit between the check and the park, so
-    // the target cannot finish in between.
+    // No race: the current task keeps running between the check and the
+    // park, so the target cannot finish in between.
     BlockCurrent(BlockKind::kJoin, -1, nullptr, id);
     return;
   }
@@ -299,14 +370,17 @@ void SimExecutor::SetReplay(std::vector<uint32_t> decisions) {
 }
 
 void SimExecutor::Run(std::function<void()> root) {
+  sched_ = std::make_unique<Fiber>();
+#ifdef DLX_TSAN_FIBERS
+  sched_->tsan = __tsan_get_current_fiber();
+#endif
   std::unique_lock<std::mutex> lk(mu_);
-  started_ = true;
   SpawnLocked("root", std::move(root), lk);
-  ScheduleNextLocked(lk);
-  done_cv_.wait(lk, [&] { return all_done_; });
-  lk.unlock();
-  for (auto& t : tasks_) {
-    if (t->thread.joinable()) t->thread.join();
+  while (Task* next = PickNextLocked(lk)) {
+    lk.unlock();
+    SwitchInto(next);
+    lk.lock();
+    if (next->state == State::kDone) next->fiber.reset();
   }
 }
 
@@ -314,21 +388,36 @@ void SimExecutor::Run(std::function<void()> root) {
 // Blocking primitives
 // ---------------------------------------------------------------------------
 
+// Sim-mode locking: contention parks the task on the primitive's address
+// and every release notifies it.  The retry loop (rather than a handoff)
+// keeps real and sim semantics identical: whoever is scheduled first after
+// the wake wins the lock.
+
 void Mutex::lock() {
   SimExecutor* e = g_exec;
   if (e == nullptr) {
     mu_.lock();
     return;
   }
-  // Park on the mutex address; the holder's unlock() notifies it.  The
-  // retry loop (rather than a handoff) keeps real and sim semantics
-  // identical: whoever is scheduled first after the wake wins the lock.
-  while (!mu_.try_lock()) e->WaitOnKey(this, -1);
+  while (sim_held_) e->WaitOnKey(this, -1);
+  sim_held_ = true;
+}
+
+bool Mutex::try_lock() {
+  if (g_exec == nullptr) return mu_.try_lock();
+  if (sim_held_) return false;
+  sim_held_ = true;
+  return true;
 }
 
 void Mutex::unlock() {
-  mu_.unlock();
-  if (SimExecutor* e = g_exec) e->NotifyKey(this);
+  SimExecutor* e = g_exec;
+  if (e == nullptr) {
+    mu_.unlock();
+    return;
+  }
+  sim_held_ = false;
+  e->NotifyKey(this);
 }
 
 void SharedMutex::lock() {
@@ -337,12 +426,25 @@ void SharedMutex::lock() {
     mu_.lock();
     return;
   }
-  while (!mu_.try_lock()) e->WaitOnKey(this, -1);
+  while (sim_state_ != 0) e->WaitOnKey(this, -1);
+  sim_state_ = -1;
+}
+
+bool SharedMutex::try_lock() {
+  if (g_exec == nullptr) return mu_.try_lock();
+  if (sim_state_ != 0) return false;
+  sim_state_ = -1;
+  return true;
 }
 
 void SharedMutex::unlock() {
-  mu_.unlock();
-  if (SimExecutor* e = g_exec) e->NotifyKey(this);
+  SimExecutor* e = g_exec;
+  if (e == nullptr) {
+    mu_.unlock();
+    return;
+  }
+  sim_state_ = 0;
+  e->NotifyKey(this);
 }
 
 void SharedMutex::lock_shared() {
@@ -351,12 +453,25 @@ void SharedMutex::lock_shared() {
     mu_.lock_shared();
     return;
   }
-  while (!mu_.try_lock_shared()) e->WaitOnKey(this, -1);
+  while (sim_state_ < 0) e->WaitOnKey(this, -1);
+  ++sim_state_;
+}
+
+bool SharedMutex::try_lock_shared() {
+  if (g_exec == nullptr) return mu_.try_lock_shared();
+  if (sim_state_ < 0) return false;
+  ++sim_state_;
+  return true;
 }
 
 void SharedMutex::unlock_shared() {
-  mu_.unlock_shared();
-  if (SimExecutor* e = g_exec) e->NotifyKey(this);
+  SimExecutor* e = g_exec;
+  if (e == nullptr) {
+    mu_.unlock_shared();
+    return;
+  }
+  --sim_state_;
+  e->NotifyKey(this);
 }
 
 }  // namespace datalinks::sim

@@ -11,25 +11,31 @@
 // (backup barriers, prepare timeouts, archive-retry backoff) into
 // microseconds of wall clock.
 //
+// Sim tasks are fibers (ucontext) multiplexed on the OS thread that called
+// SimExecutor::Run(); a scheduling point is a user-space context switch,
+// not a thread hand-off.  Every switch saves and restores the ambient
+// thread-locals (the current executor and task below, and the trace
+// context), so each task sees its own.
+//
 // How components opt in:
 //  - Code that SPAWNS concurrency takes an injected `Executor*`
 //    (DlfmOptions::executor, HostOptions::executor, the fuzz harness).
 //    The default RealExecutor spawns plain std::threads — production
 //    behaviour is untouched.
 //  - Code that BLOCKS does not need plumbing: sim::Mutex, sim::SharedMutex
-//    and sim::CondVar discover the simulation through a thread-local
-//    "current sim task" pointer.  On a real thread they delegate straight
-//    to the std primitives (one TLS load + branch of overhead); on a sim
-//    task they park the task in the scheduler instead of blocking the OS
-//    thread.
+//    and sim::CondVar discover the simulation through the ambient "current
+//    sim executor" pointer.  On a real thread they delegate straight to the
+//    std primitives (one TLS load + branch of overhead); on a sim task they
+//    park the task in the scheduler instead of blocking the OS thread.
 //
 // Soundness rule enforced by construction: a sim task must never block in
-// the KERNEL on a lock whose holder has yielded to the scheduler — the
-// holder could never be scheduled again.  Hence every mutex that is ever
-// held across a yield point (a WAL force, a page-pool I/O wait, an RPC
-// call, a fail-point delay) must be a sim:: type; leaf mutexes that never
-// cover a yield can never even be contended under the one-at-a-time
-// scheduler and may stay std::mutex.
+// the KERNEL — that blocks the one OS thread every task runs on.  Hence
+// every mutex that is ever held across a yield point (a WAL force, a
+// page-pool I/O wait, an RPC call, a fail-point delay) must be a sim::
+// type; a std::mutex held across a yield deadlocks the thread as soon as
+// another task tries to take it.  Leaf mutexes that never cover a yield
+// can never even be contended under the one-at-a-time scheduler and may
+// stay std::mutex.
 #pragma once
 
 #include <atomic>
@@ -48,12 +54,16 @@
 #include "common/clock.h"
 #include "common/random.h"
 
+namespace datalinks::trace {
+struct TraceContext;
+}  // namespace datalinks::trace
+
 namespace datalinks::sim {
 
 class SimExecutor;
 
-/// The executor the CURRENT thread's sim task belongs to, or nullptr when
-/// running on a real (non-simulated) thread.  This is the hook the
+/// The executor the CURRENT sim task belongs to, or nullptr when running
+/// on a real (non-simulated) thread.  This is the hook the
 /// blocking primitives use to discover the simulation.
 SimExecutor* CurrentSimExecutor() noexcept;
 
@@ -143,11 +153,12 @@ class SimExecutor : public Executor {
   SimExecutor& operator=(const SimExecutor&) = delete;
 
   /// Runs `root` as task 0 and schedules until EVERY task has finished
-  /// (the root must stop whatever it spawned).  Callable once.
+  /// (the root must stop whatever it spawned).  Every task runs as a fiber
+  /// on the calling thread.  Callable once.
   void Run(std::function<void()> root);
 
   // Executor interface.  Spawn from a running sim task is NOT a
-  // scheduling point (the spawner keeps the permit).
+  // scheduling point (the spawner keeps running).
   TaskHandle Spawn(std::string name, std::function<void()> fn) override;
   Clock* clock() override { return &vclock_; }
 
@@ -192,31 +203,46 @@ class SimExecutor : public Executor {
   enum class State { kRunnable, kRunning, kBlocked, kDone };
   enum class BlockKind { kNone, kSleep, kCond, kJoin };
 
+  /// A task's execution context (ucontext + guarded stack), or the Run()
+  /// thread's own context.  Defined in sim.cc.
+  struct Fiber;
+
   struct Task {
     uint64_t id = 0;
     std::string name;
     SimExecutor* owner = nullptr;
     std::function<void()> fn;
-    std::thread thread;
     State state = State::kRunnable;
     BlockKind kind = BlockKind::kNone;
     int64_t deadline = -1;  // virtual wake time; -1 = none
     const void* key = nullptr;
     uint64_t join_target = 0;
-    bool notified = false;   // cond wake cause: notify vs deadline
-    bool run_granted = false;
-    std::condition_variable wake;
+    bool notified = false;  // cond wake cause: notify vs deadline
+    // Run()-thread-only state: the fiber (created at the first switch
+    // into the task, freed once it finishes) and the task's ambient trace
+    // context while it is switched out.
+    std::unique_ptr<Fiber> fiber;
+    trace::TraceContext* trace_ctx = nullptr;
   };
 
   uint64_t SpawnLocked(std::string name, std::function<void()> fn,
                        std::unique_lock<std::mutex>& lk);
-  void TaskMain(Task* t);
-  /// Picks and wakes the next task; advances virtual time when nothing is
-  /// runnable; aborts with a task dump on simulation deadlock; signals
-  /// completion when every task is done.  mu_ held.
-  void ScheduleNextLocked(std::unique_lock<std::mutex>& lk);
+  /// Entry point of every task fiber (makecontext passes the Task* split
+  /// into two 32-bit halves).  Never returns: it switches out for good.
+  static void FiberEntry(unsigned lo, unsigned hi) noexcept;
+  /// Picks the next task to run (recording the decision); advances
+  /// virtual time when nothing is runnable; aborts with a task dump on
+  /// simulation deadlock; returns nullptr once every task is done.
+  /// mu_ held.
+  Task* PickNextLocked(std::unique_lock<std::mutex>& lk);
+  /// Run() thread: switches into `t` until it yields, blocks or finishes,
+  /// swapping the ambient thread-locals in and out around the switch.
+  void SwitchInto(Task* t);
+  /// Task side: returns control to the scheduler in Run().  Returns once
+  /// the scheduler picks the task again.
+  void SwitchOut(Task* t);
   /// Parks the current task with the given block reason and returns once
-  /// the permit is granted back.
+  /// it is picked again.
   void BlockCurrent(BlockKind kind, int64_t deadline, const void* key,
                     uint64_t join_target);
   [[noreturn]] void DeadlockAbortLocked();
@@ -233,9 +259,8 @@ class SimExecutor : public Executor {
   bool replay_active_ = false;
   std::atomic<bool> diverged_{false};
 
-  bool started_ = false;
-  bool all_done_ = false;
-  std::condition_variable done_cv_;  // Run() completion + non-sim joins
+  std::condition_variable done_cv_;  // non-sim joins
+  std::unique_ptr<Fiber> sched_;     // the Run() thread's context
 };
 
 // ---------------------------------------------------------------------------
@@ -248,29 +273,35 @@ class SimExecutor : public Executor {
 // On a real thread they are the std primitive plus one TLS load; on a sim
 // task, lock contention parks the task on the mutex address and unlock
 // notifies it — no busy-wait, and virtual time can still advance while
-// waiters are parked.
+// waiters are parked.  Sim tasks share one OS thread, so they keep their
+// own holder state instead of locking the std primitive (a second
+// try_lock on a std::mutex the thread already owns is undefined).  A lock
+// is only ever taken on one side: real threads never share a sim
+// primitive with a live simulation.
 
 class Mutex {
  public:
   void lock();
-  bool try_lock() { return mu_.try_lock(); }
+  bool try_lock();
   void unlock();
 
  private:
-  std::mutex mu_;
+  std::mutex mu_;         // real threads
+  bool sim_held_ = false;  // sim tasks
 };
 
 class SharedMutex {
  public:
   void lock();
-  bool try_lock() { return mu_.try_lock(); }
+  bool try_lock();
   void unlock();
   void lock_shared();
-  bool try_lock_shared() { return mu_.try_lock_shared(); }
+  bool try_lock_shared();
   void unlock_shared();
 
  private:
-  std::shared_mutex mu_;
+  std::shared_mutex mu_;  // real threads
+  int sim_state_ = 0;     // sim tasks: -1 exclusive, n > 0 shared holders
 };
 
 /// Condition variable usable with any sim or std lock type.  Under

@@ -151,6 +151,12 @@ TraceContextScope::~TraceContextScope() { g_trace_ctx = prev_; }
 
 TraceContext* CurrentTraceContext() { return g_trace_ctx; }
 
+TraceContext* ExchangeCurrentTraceContext(TraceContext* ctx) {
+  TraceContext* prev = g_trace_ctx;
+  g_trace_ctx = ctx;
+  return prev;
+}
+
 namespace {
 // Usable context or nullptr: traced, with a ring and a clock to read.
 inline TraceContext* ActiveContext() {

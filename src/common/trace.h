@@ -13,9 +13,9 @@
 // trace id, txn, ring, clock and component, and everything beneath it — the
 // lock manager, the WAL force path, the buffer pool — attributes child spans
 // via SpanScope / Point / Interval without any signature changes.  Under the
-// deterministic simulator this is safe because SimExecutor runs every task on
-// its own real thread (scheduled one at a time), so thread-local state stays
-// per-task.
+// deterministic simulator every task is a fiber on one thread, and
+// SimExecutor swaps the ambient context at each fiber switch
+// (ExchangeCurrentTraceContext), so it stays per-task.
 //
 // The ring is deliberately tiny and lossy: a fixed-capacity buffer that drops
 // the oldest event on overflow, so tracing can stay on in production paths.
@@ -118,7 +118,8 @@ class TraceRing {
   uint64_t total_ = 0;           // events ever recorded
 };
 
-/// Ambient per-thread trace context.  trace == 0 means "not traced": every
+/// Ambient per-thread trace context (per task under a sim::SimExecutor,
+/// which swaps it at every fiber switch).  trace == 0 means "not traced": every
 /// helper below is then a cheap no-op (one thread-local load).
 struct TraceContext {
   TraceId trace = 0;
@@ -147,6 +148,11 @@ class TraceContextScope {
 
 /// Current thread's ambient context, or nullptr if none installed.
 TraceContext* CurrentTraceContext();
+
+/// Installs `ctx` as the current thread's ambient context and returns the
+/// one it replaces.  The sim executor swaps contexts at every fiber switch
+/// so each sim task keeps its own; everything else uses TraceContextScope.
+TraceContext* ExchangeCurrentTraceContext(TraceContext* ctx);
 
 /// NowMicros from the ambient clock, or 0 when the thread is untraced.  Lets
 /// engine code bracket a wait without touching any clock on the fast path.

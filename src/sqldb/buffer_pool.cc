@@ -11,10 +11,6 @@ namespace datalinks::sqldb {
 BufferPool::BufferPool(Pager* pager, size_t capacity_pages,
                        metrics::Registry* registry, const std::string& prefix)
     : pager_(pager), capacity_(std::max<size_t>(capacity_pages, 4)) {
-  for (size_t i = 0; i < capacity_; ++i) {
-    frames_.emplace_back();
-    free_frames_.push_back(capacity_ - 1 - i);
-  }
   if (registry != nullptr) {
     hits_ = registry->GetCounter(prefix + ".hits");
     misses_ = registry->GetCounter(prefix + ".misses");
@@ -147,11 +143,15 @@ BufferPool::PageRef BufferPool::Pin(PageId id) {
       ref.id_ = id;
       return ref;
     }
-    // Miss: grab a frame (free list, then eviction, then overflow).
+    // Miss: grab a frame (free list, then a new frame while the pool is
+    // below capacity, then eviction, then overflow).
     size_t fi;
     if (!free_frames_.empty()) {
       fi = free_frames_.back();
       free_frames_.pop_back();
+    } else if (frames_.size() < capacity_) {
+      frames_.emplace_back();
+      fi = frames_.size() - 1;
     } else {
       fi = EvictLocked(lk);
       if (fi == SIZE_MAX) {

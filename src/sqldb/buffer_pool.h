@@ -1,4 +1,4 @@
-// Buffer pool: a fixed set of in-memory frames caching pages, with clock
+// Buffer pool: up to `capacity` in-memory frames caching pages, with clock
 // (second-chance) eviction, pin counts, a dirty-page table and the ARIES
 // WAL-ahead rule — a dirty page is written back only after the log is
 // durable through the page's LSN.
@@ -170,9 +170,11 @@ class BufferPool {
   // WAL — both simulation yield points.
   mutable sim::Mutex mu_;
   sim::CondVar io_cv_;
-  std::deque<Frame> frames_;  // deque: grows (overflow) without moving
+  // Frames are created on demand up to capacity_, then by overflow only;
+  // a deque grows without moving them.
+  std::deque<Frame> frames_;
   std::unordered_map<PageId, size_t> table_;
-  std::vector<size_t> free_frames_;
+  std::vector<size_t> free_frames_;  // Discarded frames, reused first
   size_t clock_hand_ = 0;
 
   metrics::Counter* hits_ = nullptr;

@@ -78,6 +78,45 @@ struct PoolRig {
   BufferPool pool;
 };
 
+// Crc32 guards every durable page slot and checkpoint-image anchor, so its
+// output is part of the on-disk format: pin it to the CRC-32/ISO-HDLC check
+// value and to a bit-at-a-time reference of the same reflected polynomial
+// at every length and alignment the slice-by-8 loop distinguishes.
+TEST(PageCrc32, MatchesCheckValueAndBitwiseReference) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  auto reference = [](std::string_view d) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (unsigned char ch : d) {
+      c ^= ch;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::string buf(8 + 64, '\0');
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<char>(i * 37 + 11);
+  }
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const std::string_view v(buf.data() + off, len);
+      EXPECT_EQ(Crc32(v), reference(v)) << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(BufferPool, FillsToCapacityBeforeEvicting) {
+  PoolRig rig(8);
+  for (PageId id = 1; id <= 8; ++id) BufferPool::PageRef r = rig.pool.Pin(id);
+  BufferPool::Stats s = rig.pool.stats();
+  EXPECT_EQ(s.cached_pages, 8u);
+  EXPECT_EQ(s.evictions, 0u);
+  { BufferPool::PageRef r = rig.pool.Pin(9); }
+  s = rig.pool.stats();
+  EXPECT_EQ(s.cached_pages, 8u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.overflow_frames, 0u);
+}
+
 TEST(BufferPool, PinMissThenHitCountsStats) {
   PoolRig rig(4);
   { BufferPool::PageRef r = rig.pool.Pin(1); }

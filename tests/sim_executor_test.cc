@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/sim.h"
+#include "common/trace.h"
 
 namespace datalinks::sim {
 namespace {
@@ -219,8 +220,53 @@ TEST(SimExecutor, DecisionsRecordEveryPickIncludingForcedOnes) {
   EXPECT_FALSE(exec.decisions().empty());
 }
 
+// Sim tasks are fibers on the Run() thread, so the ambient trace context
+// must travel with each task across every switch: a task resumed after a
+// yield, a sleep or a mutex park sees its own context, never the one the
+// other task installed, and the Run() caller's context is back in place
+// once Run() returns.
+TEST(SimExecutor, AmbientTraceContextFollowsEachTask) {
+  trace::TraceContextScope outer(/*trace=*/900, 0, nullptr, nullptr, "outer");
+  trace::TraceContext* const outer_ctx = trace::CurrentTraceContext();
+  SimExecutor exec(17);
+  Mutex mu;
+  int rounds = 0;
+  exec.Run([&] {
+    EXPECT_EQ(trace::CurrentTraceContext(), nullptr);  // tasks start untraced
+    std::vector<TaskHandle> tasks;
+    for (trace::TraceId id : {1u, 2u}) {
+      tasks.push_back(exec.Spawn("traced", [&, id] {
+        trace::TraceContextScope scope(id, 0, nullptr, nullptr, "task");
+        trace::TraceContext* const mine = trace::CurrentTraceContext();
+        auto expect_mine = [&] {
+          EXPECT_EQ(trace::CurrentTraceContext(), mine);
+          EXPECT_EQ(trace::CurrentTraceContext()->trace, id);
+        };
+        for (int i = 0; i < 20; ++i) {
+          exec.Yield();
+          expect_mine();
+          exec.clock()->SleepForMicros(10 + static_cast<int64_t>(id));
+          expect_mine();
+          {
+            // Yielding with the lock held makes the other task park on it.
+            std::lock_guard<Mutex> lk(mu);
+            expect_mine();
+            exec.Yield();
+            expect_mine();
+          }
+          expect_mine();
+          ++rounds;
+        }
+      }));
+    }
+    for (auto& t : tasks) t.join();
+  });
+  EXPECT_EQ(trace::CurrentTraceContext(), outer_ctx);
+  EXPECT_EQ(rounds, 40);
+}
+
 // Stress arm (runs under TSan in CI): many tasks hammering every primitive
-// while the scheduler hops between OS threads.  Determinism is asserted by
+// while the scheduler switches between their fibers.  Determinism is asserted by
 // double-running and byte-comparing the logs.
 std::string StressRun(uint64_t seed) {
   SimExecutor exec(seed);
